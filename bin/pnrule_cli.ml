@@ -48,7 +48,10 @@ let chunk_arg =
   Arg.(
     value & opt chunk_conv 8192
     & info [ "chunk" ] ~docv:"ROWS"
-        ~doc:"Rows decoded and scored per batch; bounds resident memory.")
+        ~doc:
+          "Upper bound on the rows decoded and scored per batch. Decode \
+           memory follows the rows actually received, up to this many per \
+           batch, so a small request costs a small allocation.")
 
 (* ------------------------------------------------------------------ *)
 (* Shared arguments                                                     *)
@@ -469,9 +472,10 @@ let ingest_cmd =
           Pn_data.Columnar.default_group_size
       & info [ "group-size" ] ~docv:"ROWS"
           ~doc:
-            "Rows per row group; readers decode and score one group at a \
-             time, so this bounds serving memory like $(b,--chunk) does for \
-             CSV.")
+            "Upper bound on the rows per row group; readers decode and \
+             score one group at a time, like $(b,--chunk) does for CSV. \
+             Decode memory follows the largest group actually in the file, \
+             so a small file costs a small allocation at any group size.")
   in
   let out =
     Arg.(

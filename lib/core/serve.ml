@@ -19,12 +19,16 @@ type observer =
   actuals:int array ->
   unit
 
-(* Per-attribute chunk column storage, preallocated once and reused. *)
+(* Per-attribute chunk column storage, grown on demand up to the chunk
+   size and reused across chunks. *)
 type store =
   | Snum of float array
   | Scat of int array
 
 exception Row_drop of string
+
+let row_limit m =
+  raise (Limit (Printf.sprintf "input exceeds the row limit (%d rows)" m))
 
 let median sorted =
   let m = Array.length sorted in
@@ -137,19 +141,37 @@ let predict_stream ?(policy = Pn_data.Ingest_report.Strict) ?(chunk_size = 8192)
   let mapping = ref [||] in
   let n_header = ref 0 in
   let class_idx = ref None in
-  (* Chunk state. *)
+  (* Chunk state. The buffers start small and double as rows arrive, up
+     to [chunk_size], so a 16-row request never pays for an 8192-row
+     chunk; flush points depend on [chunk_size] alone. *)
+  let capacity = ref (min chunk_size 64) in
   let stores =
     Array.map
       (fun (a : Pn_data.Attribute.t) ->
         match a.kind with
-        | Pn_data.Attribute.Numeric -> Snum (Array.make chunk_size 0.0)
-        | Pn_data.Attribute.Categorical _ -> Scat (Array.make chunk_size 0))
+        | Pn_data.Attribute.Numeric -> Snum (Array.make !capacity 0.0)
+        | Pn_data.Attribute.Categorical _ -> Scat (Array.make !capacity 0))
       attrs
   in
   (* Positions imputation must patch, per attribute, chunk-local. *)
   let misses = Array.make n_attrs [] in
-  let actuals = Array.make chunk_size (-1) in
+  let actuals = ref (Array.make !capacity (-1)) in
   let fill = ref 0 in
+  let grow () =
+    let cap = min chunk_size (2 * !capacity) in
+    let extend a fill_value =
+      let b = Array.make cap fill_value in
+      Array.blit a 0 b 0 !fill;
+      b
+    in
+    Array.iteri
+      (fun k -> function
+        | Snum col -> stores.(k) <- Snum (extend col 0.0)
+        | Scat col -> stores.(k) <- Scat (extend col 0))
+      stores;
+    actuals := extend !actuals (-1);
+    capacity := cap
+  in
   let unknown_labels = ref 0 in
   let em = make_emitter ?pool ?observe ~scores ~model ~write () in
   (* Every data row — kept, skipped or malformed — counts against the
@@ -157,8 +179,7 @@ let predict_stream ?(policy = Pn_data.Ingest_report.Strict) ?(chunk_size = 8192)
   let count_row () =
     Pn_data.Ingest_report.row_read ingest;
     match max_rows with
-    | Some m when ingest.Pn_data.Ingest_report.rows_read > m ->
-      raise (Limit (Printf.sprintf "input exceeds the row limit (%d rows)" m))
+    | Some m when ingest.Pn_data.Ingest_report.rows_read > m -> row_limit m
     | Some _ | None -> ()
   in
   let resolve_header names =
@@ -234,7 +255,7 @@ let predict_stream ?(policy = Pn_data.Ingest_report.Strict) ?(chunk_size = 8192)
             | Scat col -> Pn_data.Dataset.Cat (Array.sub col 0 n))
           stores
       in
-      em.em_emit ~n ~columns ~actuals;
+      em.em_emit ~n ~columns ~actuals:!actuals;
       fill := 0
     end
   in
@@ -252,6 +273,7 @@ let predict_stream ?(policy = Pn_data.Ingest_report.Strict) ?(chunk_size = 8192)
           (Row_drop
              (Printf.sprintf "row has %d fields, header has %d" (Array.length cells)
                 !n_header));
+      if !fill = !capacity then grow ();
       let k = !fill in
       (* All writes target index [k]; a dropped row simply never
          increments [fill], so partial writes are overwritten. *)
@@ -303,7 +325,7 @@ let predict_stream ?(policy = Pn_data.Ingest_report.Strict) ?(chunk_size = 8192)
       let k = !fill in
       (* Labels are metrics-only: unknown or missing labels never fail
          the feed. *)
-      actuals.(k) <-
+      !actuals.(k) <-
         (match !class_idx with
         | None -> -1
         | Some j -> (
@@ -424,11 +446,18 @@ let predict_columnar_stream ?(policy = Pn_data.Ingest_report.Strict)
   let wanted = Array.make (Array.length file_attrs) false in
   Array.iter (fun j -> wanted.(j) <- true) mapping;
   Pn_data.Columnar.set_wanted r wanted;
+  (* Every row counts against the row budget, as in the CSV path. The
+     header's row count is checksum-verified and binding, so an
+     over-budget body is refused before any decode buffer is allocated
+     or any output written. *)
+  (match max_rows with
+  | Some m when sch.Pn_data.Columnar.n_rows > m -> row_limit m
+  | Some _ | None -> ());
   let ingest = Pn_data.Ingest_report.create () in
   let unknown_labels = ref 0 in
   let em = make_emitter ?pool ?observe ~scores ~model ~write () in
   em.em_header ();
-  let gs = sch.Pn_data.Columnar.group_size in
+  let gs = Pn_data.Columnar.max_group_rows sch in
   let actuals = Array.make gs (-1) in
   let keep = Array.make gs true in
   let misses = Array.make n_attrs [] in
@@ -437,15 +466,11 @@ let predict_columnar_stream ?(policy = Pn_data.Ingest_report.Strict)
     match corrupt (fun () -> Pn_data.Columnar.read_group r) with
     | None -> ()
     | Some rows ->
-      (* Every decoded row counts against the row budget, as in the CSV
-         path. *)
+      (* No budget check here: [read_group] holds every group to the
+         header's row count, which was checked against [max_rows]. *)
       for _ = 1 to rows do
         Pn_data.Ingest_report.row_read ingest
       done;
-      (match max_rows with
-      | Some m when ingest.Pn_data.Ingest_report.rows_read > m ->
-        raise (Limit (Printf.sprintf "input exceeds the row limit (%d rows)" m))
-      | Some _ | None -> ());
       Array.fill keep 0 rows true;
       (* Row policy, column-major: a missing cell or an unknown
          categorical value fails / drops / queues the row for chunk-local

@@ -5,7 +5,9 @@
     schema ({!Saved.resolve_header} on the header, per-cell kind checks on
     the rows), scores it through the compiled bitset engine and streams a
     predictions CSV out — the full dataset is never materialized, so
-    resident memory is bounded by the chunk size, not the feed. The
+    resident memory is bounded by the chunk size, not the feed. Decode
+    buffers start small and grow with the rows that arrive, so a feed
+    shorter than a chunk allocates for its own rows only. The
     pipeline is written against {!Saved.t}, so a boosted ensemble serves
     through exactly the same path as a single PNrule model.
 
@@ -89,7 +91,8 @@ val predict_stream :
     as {!predict_stream}, fed from a {!Pn_data.Columnar} [.pnc] stream
     instead of CSV text. One row group is scored per chunk (so the
     file's group size plays the role of [chunk_size]), decoded straight
-    into reusable buffers with no per-cell parsing; on the same rows the
+    into reusable buffers sized to the largest group actually present,
+    with no per-cell parsing; on the same rows the
     output is byte-identical to the CSV path's. The file's categorical
     dictionaries and class table are remapped to the model's by name;
     values the model has never seen follow the policy exactly like
@@ -97,7 +100,9 @@ val predict_stream :
     Strict/Skip/Impute the same way. When the file carries labels they
     feed the confusion matrix, as a CSV "class" column would. Raises
     {!Error} (wrapping {!Pn_data.Columnar.Corrupt} as
-    ["columnar: ..."] ) and {!Limit} like the CSV core. *)
+    ["columnar: ..."] ) and {!Limit} like the CSV core; a header whose
+    row count exceeds [max_rows] raises {!Limit} before any group is
+    decoded or any output written. *)
 val predict_columnar_stream :
   ?policy:Pn_data.Ingest_report.policy ->
   ?scores:bool ->

@@ -38,6 +38,8 @@ let rows_in_group sch g =
   if g < sch.n_groups - 1 then sch.group_size
   else sch.n_rows - (sch.group_size * (sch.n_groups - 1))
 
+let max_group_rows sch = min sch.group_size sch.n_rows
+
 (* ------------------------------------------------------------------ *)
 (* Writing                                                              *)
 (* ------------------------------------------------------------------ *)
@@ -239,8 +241,10 @@ type reader = {
   src : Stream.source;
   sch : schema;
   mutable wanted : bool array;
-  (* Decode buffers, length [group_size], allocated at the first
-     [read_group] (after [set_wanted]) and reused for every group. *)
+  (* Decode buffers sized to the largest group actually in the file
+     ([max_group_rows], not the header's [group_size]), allocated at the
+     first [read_group] (after [set_wanted]) and reused for every
+     group. *)
   mutable cols : rcol array;
   mutable miss : bool array option array;
   mutable labels : int array option;
@@ -391,7 +395,7 @@ let set_wanted r mask =
   r.wanted <- Array.copy mask
 
 let prepare_buffers r =
-  let gs = r.sch.group_size in
+  let gs = max_group_rows r.sch in
   r.cols <-
     Array.mapi
       (fun j (a : Attribute.t) ->
@@ -493,7 +497,7 @@ let read_group r =
               match r.miss.(j) with
               | Some m -> m
               | None ->
-                let m = Array.make r.sch.group_size false in
+                let m = Array.make (max_group_rows r.sch) false in
                 r.miss.(j) <- Some m;
                 m
             in

@@ -46,6 +46,11 @@ type schema = {
   attrs : Attribute.t array;
 }
 
+(** [max_group_rows sch] is the row count of the file's largest group,
+    [min group_size n_rows]: what a decode buffer must hold. A small
+    body written with a huge [group_size] needs only small buffers. *)
+val max_group_rows : schema -> int
+
 (** {1 Writing} *)
 
 (** [write sink ds] streams the encoded file through [sink] in block
@@ -73,7 +78,7 @@ val save :
 (** {1 Streaming reads}
 
     The group reader decodes straight into per-column buffers allocated
-    once and reused for every group — the serving tier hands these
+    once, sized by {!max_group_rows}, and reused for every group — the serving tier hands these
     buffers to the compiled scoring engine without copying. *)
 
 type reader

@@ -516,7 +516,7 @@ let predict t conn (req : Http.request) ~index ~keep =
         in
         let reader = Http.body_reader conn ~length:len in
         let source =
-          Pn_data.Stream.of_refill (fun buf ->
+          Pn_data.Stream.of_refill ~buf_size:(Http.body_buf_size len) (fun buf ->
               guard ();
               reader buf)
         in
@@ -659,7 +659,7 @@ let feedback t conn (req : Http.request) ~index ~keep =
           in
           let reader = Http.body_reader conn ~length:len in
           let source =
-            Pn_data.Stream.of_refill (fun buf ->
+            Pn_data.Stream.of_refill ~buf_size:(Http.body_buf_size len) (fun buf ->
                 guard ();
                 reader buf)
           in

@@ -336,6 +336,8 @@ let read_request ?(max_header = 8192) c =
     keep_alive;
   }
 
+let body_buf_size length = max 1 (min 65536 length)
+
 let body_reader c ~length =
   let remaining = ref length in
   fun buf ->

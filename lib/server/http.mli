@@ -71,6 +71,11 @@ val read_request : ?max_header:int -> conn -> request
     early, {!Timeout} on a stalled read. *)
 val body_reader : conn -> length:int -> bytes -> int
 
+(** [body_buf_size length] is the buffer to read a [length]-byte body
+    through: the body's own size, capped at 64 KiB, so a small request
+    does not allocate a full window. *)
+val body_buf_size : int -> int
+
 (** [wait_readable conn ~timeout ~stop] waits for the next request on a
     keep-alive connection: polls in short slices so a drain ([stop ()]
     turning true) is noticed promptly. [`Readable] may also mean EOF —

@@ -178,6 +178,11 @@ let backend_state t i = Atomic.get t.backends.(i).Backend.state
 (* Proxy legs                                                           *)
 (* ------------------------------------------------------------------ *)
 
+(* A leg's read buffer holds a response, not a request body: a typical
+   prediction reply fits in one 16 KiB refill, and a longer one simply
+   takes more. *)
+let proxy_buf_size = 16384
+
 (* One request/response exchange with one shard on a fresh connection.
    The leg carries the [router.proxy_write] / [router.proxy_read] fault
    points, so chaos runs can kill either direction deterministically;
@@ -188,8 +193,9 @@ let attempt t b ~meth ~target ~headers ~body =
   let port = Atomic.get b.Backend.port in
   match
     let c =
-      Http.connect ~host:t.config.host ~port ~timeout:t.config.proxy_timeout
-        ~write_fault:"router.proxy_write" ~read_fault:"router.proxy_read" ()
+      Http.connect ~buf_size:proxy_buf_size ~host:t.config.host ~port
+        ~timeout:t.config.proxy_timeout ~write_fault:"router.proxy_write"
+        ~read_fault:"router.proxy_read" ()
     in
     Fun.protect
       ~finally:(fun () ->
@@ -554,7 +560,7 @@ let observe t ~ep ~status =
 let read_body conn ~length =
   let reader = Http.body_reader conn ~length in
   let out = Buffer.create (min length 65536) in
-  let tmp = Bytes.create 65536 in
+  let tmp = Bytes.create (Http.body_buf_size length) in
   let rec go () =
     let n = reader tmp in
     if n > 0 then begin

@@ -423,6 +423,50 @@ let test_serve_limit_and_corrupt () =
       "wrapped as a columnar error" true
       (contains ~sub:"columnar:" msg)
 
+let test_serve_limit_before_decode () =
+  (* A 16-row body under a 16M-row group size, its header doctored (and
+     re-checksummed) to claim 16M rows: the row budget must refuse it
+     from the header alone — no output, no group-sized decode buffer. *)
+  let _, model = train_model ~seed:19 ~n:6_000 in
+  let s = C.to_string ~group_size:16_777_216 (mixed ~seed:20 ~n:16) in
+  let b = Bytes.of_string s in
+  let hoff = String.length "pncol\x01\r\n" + 4 in
+  let hlen = Int32.to_int (Bytes.get_int32_le b (hoff - 4)) in
+  Bytes.set_int64_le b hoff 16_000_000L;
+  Bytes.set_int32_le b (hoff + hlen)
+    (Int32.of_int (Pn_util.Crc32.string (Bytes.sub_string b hoff hlen)));
+  let doctored = Bytes.to_string b in
+  let writes = ref 0 in
+  let before = Gc.allocated_bytes () in
+  (match
+     Pnrule.Serve.predict_columnar_stream ~max_rows:100
+       ~model:(Pnrule.Saved.Single model)
+       ~source:(Pn_data.Stream.of_string doctored)
+       ~write:(fun _ -> incr writes)
+       ()
+   with
+  | _ -> Alcotest.fail "over-budget header accepted"
+  | exception Pnrule.Serve.Limit _ -> ());
+  let allocated = Gc.allocated_bytes () -. before in
+  Alcotest.(check int) "nothing written" 0 !writes;
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f B allocated, under 1 MiB" allocated)
+    true
+    (allocated < 1048576.0);
+  (* The header really is intact: without a budget, decoding proceeds
+     and only then finds the body short of its claimed rows. *)
+  match
+    Pnrule.Serve.predict_columnar_stream ~model:(Pnrule.Saved.Single model)
+      ~source:(Pn_data.Stream.of_string doctored)
+      ~write:ignore ()
+  with
+  | _ -> Alcotest.fail "doctored body decoded cleanly"
+  | exception Pnrule.Serve.Error msg ->
+    Alcotest.(check bool)
+      (Printf.sprintf "fails past the header: %s" msg)
+      true
+      (contains ~sub:"columnar:" msg && not (contains ~sub:"header" msg))
+
 let suite =
   [
     Alcotest.test_case "round-trip 10k" `Quick test_roundtrip;
@@ -445,5 +489,7 @@ let suite =
       test_serve_missing_policies;
     Alcotest.test_case "serve: limit and corrupt" `Quick
       test_serve_limit_and_corrupt;
+    Alcotest.test_case "serve: row limit refused from the header" `Quick
+      test_serve_limit_before_decode;
   ]
   @ List.map (QCheck_alcotest.to_alcotest ~long:false) qcheck_props
