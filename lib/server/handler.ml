@@ -31,13 +31,9 @@ type t = {
   max_body : int;
   max_rows : int;
   deadline : float;
-  draining : bool Atomic.t;
-  queued : int Atomic.t;  (* accepted, not yet picked up by a worker *)
-  queue_limit : int;
-  connections : int Atomic.t;
+  listener : Listener.t;  (* admission, drain and connection counters *)
   reloads : int Atomic.t;
   reload_failures : int Atomic.t;
-  worker_restarts : int Atomic.t;
   (* Staged rollout: [admin] serializes flips, [warming] is the brief
      window in which a candidate generation is being canary-scored. *)
   admin : Mutex.t;
@@ -45,7 +41,6 @@ type t = {
   rollouts : int Atomic.t;
   rollbacks : int Atomic.t;
   rollout_failures : int Atomic.t;
-  shed_overload : int Atomic.t;
   shed_draining : int Atomic.t;
   shed_warming : int Atomic.t;
   (* Online adaptation, attached after construction by the server when
@@ -62,36 +57,28 @@ let initial_state source =
     let generation, model, expectations = Pnrule.Registry.load_initial_ex reg in
     { model; generation; loaded_at; expectations }
 
-let create ~source ~telemetry ~policy ~chunk_size ~max_body ~max_rows ~deadline
-    ~draining ~queued ~queue_limit =
+let create ~source ~listener ~policy ~chunk_size ~max_body ~max_rows ~deadline =
   {
     state = Atomic.make (initial_state source);
     source;
-    telemetry;
+    telemetry = Telemetry.create ~slots:(Listener.domains listener);
     policy;
     chunk_size;
     max_body;
     max_rows;
     deadline;
-    draining;
-    queued;
-    queue_limit;
-    connections = Atomic.make 0;
+    listener;
     reloads = Atomic.make 0;
     reload_failures = Atomic.make 0;
-    worker_restarts = Atomic.make 0;
     admin = Mutex.create ();
     warming = Atomic.make false;
     rollouts = Atomic.make 0;
     rollbacks = Atomic.make 0;
     rollout_failures = Atomic.make 0;
-    shed_overload = Atomic.make 0;
     shed_draining = Atomic.make 0;
     shed_warming = Atomic.make 0;
     adapt = Atomic.make None;
   }
-
-let telemetry t = t.telemetry
 
 let state t = Atomic.get t.state
 
@@ -113,20 +100,6 @@ let sync_drift t st =
 let set_adapt t r =
   Atomic.set t.adapt (Some r);
   sync_drift t (Atomic.get t.state)
-
-let connections t = t.connections
-
-let worker_restarts t = t.worker_restarts
-
-let note_shed t = function
-  | `Overload -> ignore (Atomic.fetch_and_add t.shed_overload 1)
-  | `Draining -> ignore (Atomic.fetch_and_add t.shed_draining 1)
-  | `Warming -> ignore (Atomic.fetch_and_add t.shed_warming 1)
-
-(* The listener's admission estimate: requests being processed plus
-   connections accepted but not yet picked up by a worker. *)
-let admission_load t =
-  Telemetry.in_flight_count t.telemetry + Atomic.get t.queued
 
 (* SIGHUP semantics by source: a [Loader] re-runs the load function and
    bumps the generation; a [Registry] re-resolves the CURRENT pointer
@@ -305,7 +278,8 @@ let model_json t =
   Buffer.contents buf
 
 let metrics_text t =
-  Telemetry.render t.telemetry ~extra:(fun buf ->
+  let l = t.listener in
+  Telemetry.render t.telemetry ~in_flight:(Listener.in_flight l) ~extra:(fun buf ->
       let st = Atomic.get t.state in
       (* Generation semantics differ by source: a registry daemon
          serves the on-disk generation number (rollbacks move it DOWN),
@@ -366,7 +340,7 @@ let metrics_text t =
          pnrule_shed_total{reason=\"overload\"} %d\n\
          pnrule_shed_total{reason=\"draining\"} %d\n\
          pnrule_shed_total{reason=\"warming\"} %d\n"
-        (Atomic.get t.shed_overload)
+        (Listener.shed l)
         (Atomic.get t.shed_draining)
         (Atomic.get t.shed_warming);
       Printf.bprintf buf
@@ -374,24 +348,24 @@ let metrics_text t =
          by a worker.\n\
          # TYPE pnrule_queue_depth gauge\n\
          pnrule_queue_depth %d\n"
-        (Atomic.get t.queued);
+        (Listener.queued l);
       Printf.bprintf buf
         "# HELP pnrule_queue_limit Admission limit on in-flight plus queued \
          work.\n\
          # TYPE pnrule_queue_limit gauge\n\
          pnrule_queue_limit %d\n"
-        t.queue_limit;
+        (Listener.queue_limit l);
       Printf.bprintf buf
         "# HELP pnrule_connections_total Connections accepted.\n\
          # TYPE pnrule_connections_total counter\n\
          pnrule_connections_total %d\n"
-        (Atomic.get t.connections);
+        (Listener.connections l);
       Printf.bprintf buf
         "# HELP pnrule_worker_restarts_total Worker domains respawned after \
          dying on an escaped exception.\n\
          # TYPE pnrule_worker_restarts_total counter\n\
          pnrule_worker_restarts_total %d\n"
-        (Atomic.get t.worker_restarts);
+        (Listener.restarts l);
       match Atomic.get t.adapt with
       | None -> ()
       | Some r ->
@@ -437,29 +411,20 @@ let metrics_text t =
            pnrule_feedback_reservoir_rows %d\n"
           s.Pn_adapt.Retrainer.reservoir_rows)
 
-(* Serving pools: each worker domain is already one lane of parallelism,
-   and Pool.map_array does not support concurrent submitters — so every
+(* The body prelude /predict and /feedback share. Before any body byte
+   is read: the on-error override, content negotiation (a binary
+   columnar body takes the [.pnc] fast path; anything else, including no
+   Content-Type, keeps the historical CSV behaviour), the endpoint's own
+   [scores] check, then 411/413/Expect. Then one scoring run over
+   [model], the snapshot the request started with. The deadline guard
+   is checked on every body refill and every output write, the two
+   points where a slow peer can stall the request indefinitely; 0
+   disables it. Each worker domain is already one lane of parallelism
+   (and Pool.map_array does not support concurrent submitters), so every
    request scores sequentially in its worker domain. *)
-let predict t conn (req : Http.request) ~index ~keep =
-  (* Per-request overrides, validated before any body byte is read. *)
+let score_body t conn (req : Http.request) ~model ~scores ?observe
+    ?(started = fun () -> false) ~write finish =
   let q name = List.assoc_opt name req.query in
-  let policy =
-    match q "on-error" with
-    | None -> Ok t.policy
-    | Some v -> (
-      match Pn_data.Ingest_report.policy_of_string v with
-      | Some p -> Ok p
-      | None -> Error (Printf.sprintf "unknown on-error policy %S" v))
-  in
-  let scores =
-    match q "scores" with
-    | None | Some "0" | Some "false" -> Ok false
-    | Some "1" | Some "true" -> Ok true
-    | Some v -> Error (Printf.sprintf "bad scores flag %S" v)
-  in
-  (* Content negotiation: a binary columnar body is routed to the
-     [.pnc] fast path; anything else (including no Content-Type) keeps
-     the historical CSV behaviour. *)
   let columnar =
     match Http.header req "content-type" with
     | None -> false
@@ -471,113 +436,94 @@ let predict t conn (req : Http.request) ~index ~keep =
       in
       String.lowercase_ascii (String.trim v) = "application/x-pnrule-columnar"
   in
-  let scores =
-    if columnar && q "class-column" <> None then
-      Error "class-column does not apply to columnar input (labels are in the file)"
-    else scores
+  let policy =
+    match q "on-error" with
+    | None -> Ok t.policy
+    | Some v -> (
+      match Pn_data.Ingest_report.policy_of_string v with
+      | Some p -> Ok p
+      | None -> Error (Printf.sprintf "unknown on-error policy %S" v))
   in
   match (policy, scores) with
-  | Error msg, _ | _, Error msg ->
+  | Error msg, _ | Ok _, Error msg ->
     Http.respond conn ~status:400 ~body:(msg ^ "\n") ();
     (400, `Close)
+  | Ok _, Ok _ when columnar && q "class-column" <> None ->
+    Http.respond conn ~status:400
+      ~body:
+        "class-column does not apply to columnar input (labels are in the \
+         file)\n"
+      ();
+    (400, `Close)
   | Ok policy, Ok scores -> (
-    if req.Http.chunked_body then begin
-      Http.respond conn ~status:411
-        ~body:"chunked request bodies are not supported; send Content-Length\n" ();
-      (411, `Close)
-    end
-    else
-      match req.Http.content_length with
-      | None ->
-        Http.respond conn ~status:411 ~body:"Content-Length required\n" ();
-        (411, `Close)
-      | Some len when len > t.max_body ->
-        Http.respond conn ~status:413
-          ~body:
-            (Printf.sprintf "body of %d bytes exceeds the %d byte limit\n" len
-               t.max_body)
-          ();
-        (413, `Close)
-      | Some len -> (
-        (match Http.header req "expect" with
-        | Some v when String.lowercase_ascii v = "100-continue" ->
-          Http.continue_100 conn
-        | Some _ | None -> ());
-        let st = Atomic.get t.state in
-        (* Deadline guard: checked on every body refill and every
-           response write, the two points where a slow peer can stall
-           the request indefinitely. 0 disables it. *)
-        let deadline_at =
-          if t.deadline > 0.0 then Unix.gettimeofday () +. t.deadline
-          else Float.infinity
-        in
-        let guard () =
-          if Unix.gettimeofday () > deadline_at then raise Deadline
-        in
-        let reader = Http.body_reader conn ~length:len in
-        let source =
-          Pn_data.Stream.of_refill ~buf_size:(Http.body_buf_size len) (fun buf ->
-              guard ();
-              reader buf)
-        in
-        let resp = Http.start_stream conn ~status:200 ~keep_alive:keep () in
-        let write s =
-          guard ();
-          Http.stream_write resp s
-        in
-        (* Predict traffic feeds the drift monitor's firing-rate side;
-           labels (when a class column rides along) feed its
-           false-positive side too. Only /feedback fills the retraining
-           reservoir. *)
-        let observe =
-          match Atomic.get t.adapt with
-          | None -> None
-          | Some r ->
-            let dr = Pn_adapt.Retrainer.drift r in
-            Some
-              (fun ~n ~columns:_ ~batch ~actuals ->
-                Pn_adapt.Drift.observe dr ~slot:index ~n ~batch ~actuals)
-        in
-        match
-          if columnar then
-            Pnrule.Serve.predict_columnar_stream ~policy ~scores
-              ~max_rows:t.max_rows ~pool:Pn_util.Pool.sequential ?observe
-              ~model:st.model ~source ~write ()
-          else
-            Pnrule.Serve.predict_stream ~policy ~chunk_size:t.chunk_size
-              ?class_column:(q "class-column") ~scores ~max_rows:t.max_rows
-              ~pool:Pn_util.Pool.sequential ?observe ~model:st.model ~source
-              ~write ()
-        with
-        | report ->
-          Http.stream_finish resp;
-          (200, `Rows report)
-        | exception Deadline ->
-          if Http.stream_started resp then (408, `Close)
-          else begin
-            Http.respond conn ~status:408
-              ~body:
-                (Printf.sprintf "request exceeded the %gs deadline\n" t.deadline)
-              ();
-            (408, `Close)
-          end
-        | exception Pnrule.Serve.Error msg ->
-          if Http.stream_started resp then begin
-            (* The 200 head is on the wire; all we can do is truncate the
-               chunked body so the client sees a failed transfer. *)
-            Log.debug (fun m -> m "predict failed mid-stream: %s" msg);
-            (400, `Close)
-          end
-          else begin
-            Http.respond conn ~status:400 ~body:(msg ^ "\n") ();
-            (400, `Close)
-          end
-        | exception Pnrule.Serve.Limit msg ->
-          if Http.stream_started resp then (413, `Close)
-          else begin
-            Http.respond conn ~status:413 ~body:(msg ^ "\n") ();
-            (413, `Close)
-          end))
+    match Http.admit_body conn req ~max_body:t.max_body with
+    | Error status -> (status, `Close)
+    | Ok len -> (
+      let deadline_at =
+        if t.deadline > 0.0 then Unix.gettimeofday () +. t.deadline
+        else Float.infinity
+      in
+      let guard () = if Unix.gettimeofday () > deadline_at then raise Deadline in
+      let reader = Http.body_reader conn in
+      let source =
+        Pn_data.Stream.of_refill ~buf_size:(Http.body_buf_size len) (fun buf ->
+            guard ();
+            reader buf)
+      in
+      let write s =
+        guard ();
+        write s
+      in
+      (* Once the 200 head is on the wire, all a failure can do is
+         truncate the chunked body so the client sees a failed transfer. *)
+      let fail msg status =
+        if started () then
+          Log.debug (fun m -> m "%s failed mid-stream: %s" req.path msg)
+        else Http.respond conn ~status ~body:(msg ^ "\n") ();
+        (status, `Close)
+      in
+      let pool = Pn_util.Pool.sequential and max_rows = t.max_rows in
+      match
+        if columnar then
+          Pnrule.Serve.predict_columnar_stream ~policy ~scores ~max_rows ~pool
+            ?observe ~model ~source ~write ()
+        else
+          Pnrule.Serve.predict_stream ~policy ~chunk_size:t.chunk_size
+            ?class_column:(q "class-column") ~scores ~max_rows ~pool ?observe
+            ~model ~source ~write ()
+      with
+      | report -> finish report
+      | exception Deadline ->
+        fail (Printf.sprintf "request exceeded the %gs deadline" t.deadline) 408
+      | exception Pnrule.Serve.Error msg -> fail msg 400
+      | exception Pnrule.Serve.Limit msg -> fail msg 413))
+
+let predict t conn (req : Http.request) ~index ~keep =
+  let scores =
+    match List.assoc_opt "scores" req.query with
+    | None | Some "0" | Some "false" -> Ok false
+    | Some "1" | Some "true" -> Ok true
+    | Some v -> Error (Printf.sprintf "bad scores flag %S" v)
+  in
+  (* Predict traffic feeds the drift monitor's firing-rate side; labels
+     (when a class column rides along) feed its false-positive side too.
+     Only /feedback fills the retraining reservoir. *)
+  let observe =
+    match Atomic.get t.adapt with
+    | None -> None
+    | Some r ->
+      let dr = Pn_adapt.Retrainer.drift r in
+      Some
+        (fun ~n ~columns:_ ~batch ~actuals ->
+          Pn_adapt.Drift.observe dr ~slot:index ~n ~batch ~actuals)
+  in
+  let resp = Http.start_stream conn ~status:200 ~keep_alive:keep () in
+  score_body t conn req ~model:(Atomic.get t.state).model ~scores ?observe
+    ~started:(fun () -> Http.stream_started resp)
+    ~write:(Http.stream_write resp)
+    (fun report ->
+      Http.stream_finish resp;
+      (200, `Rows report))
 
 (* POST /feedback: the labeled-stream endpoint of online adaptation.
    The body rides the exact predict pipeline (same decoders, same
@@ -593,153 +539,63 @@ let feedback t conn (req : Http.request) ~index ~keep =
       ~body:"online adaptation is not enabled; start the daemon with --adapt\n"
       ();
     (409, `Close)
-  | Some r -> (
-    let q name = List.assoc_opt name req.query in
-    let policy =
-      match q "on-error" with
-      | None -> Ok t.policy
-      | Some v -> (
-        match Pn_data.Ingest_report.policy_of_string v with
-        | Some p -> Ok p
-        | None -> Error (Printf.sprintf "unknown on-error policy %S" v))
-    in
-    let columnar =
-      match Http.header req "content-type" with
-      | None -> false
-      | Some v ->
-        let v =
-          match String.index_opt v ';' with
-          | Some i -> String.sub v 0 i
-          | None -> v
+  | Some r ->
+    let model = (Atomic.get t.state).model in
+    let dr = Pn_adapt.Retrainer.drift r in
+    let attrs = Pnrule.Saved.attrs model in
+    let classes = Pnrule.Saved.classes model in
+    let labeled_total = ref 0 in
+    let observe ~n ~columns ~batch ~actuals =
+      Pn_adapt.Drift.observe dr ~slot:index ~n ~batch ~actuals;
+      let sel = ref [] in
+      let cnt = ref 0 in
+      for i = n - 1 downto 0 do
+        if actuals.(i) >= 0 then begin
+          sel := i :: !sel;
+          incr cnt
+        end
+      done;
+      if !cnt > 0 then begin
+        labeled_total := !labeled_total + !cnt;
+        let sel = Array.of_list !sel in
+        (* Copy, never alias: [columns] may be decoder-owned buffers
+           that the next chunk overwrites. *)
+        let sub =
+          Array.map
+            (function
+              | Pn_data.Dataset.Num col ->
+                Pn_data.Dataset.Num (Array.map (Array.get col) sel)
+              | Pn_data.Dataset.Cat col ->
+                Pn_data.Dataset.Cat (Array.map (Array.get col) sel))
+            columns
         in
-        String.lowercase_ascii (String.trim v) = "application/x-pnrule-columnar"
-    in
-    let policy =
-      if columnar && q "class-column" <> None then
-        Error
-          "class-column does not apply to columnar input (labels are in the \
-           file)"
-      else policy
-    in
-    match policy with
-    | Error msg ->
-      Http.respond conn ~status:400 ~body:(msg ^ "\n") ();
-      (400, `Close)
-    | Ok policy -> (
-      if req.Http.chunked_body then begin
-        Http.respond conn ~status:411
-          ~body:"chunked request bodies are not supported; send Content-Length\n"
-          ();
-        (411, `Close)
+        let labels = Array.map (Array.get actuals) sel in
+        Pn_adapt.Retrainer.add r
+          (Pn_data.Dataset.create ~attrs ~columns:sub ~labels ~classes ())
       end
-      else
-        match req.Http.content_length with
-        | None ->
-          Http.respond conn ~status:411 ~body:"Content-Length required\n" ();
-          (411, `Close)
-        | Some len when len > t.max_body ->
-          Http.respond conn ~status:413
+    in
+    score_body t conn req ~model ~scores:(Ok false) ~observe ~write:ignore
+      (fun report ->
+        if !labeled_total = 0 then begin
+          Http.respond conn ~status:400
             ~body:
-              (Printf.sprintf "body of %d bytes exceeds the %d byte limit\n" len
-                 t.max_body)
+              "no labeled rows in the feedback body; provide a class column \
+               (CSV) or a labeled .pnc file\n"
             ();
-          (413, `Close)
-        | Some len -> (
-          (match Http.header req "expect" with
-          | Some v when String.lowercase_ascii v = "100-continue" ->
-            Http.continue_100 conn
-          | Some _ | None -> ());
-          let st = Atomic.get t.state in
-          let deadline_at =
-            if t.deadline > 0.0 then Unix.gettimeofday () +. t.deadline
-            else Float.infinity
-          in
-          let guard () =
-            if Unix.gettimeofday () > deadline_at then raise Deadline
-          in
-          let reader = Http.body_reader conn ~length:len in
-          let source =
-            Pn_data.Stream.of_refill ~buf_size:(Http.body_buf_size len) (fun buf ->
-                guard ();
-                reader buf)
-          in
-          let dr = Pn_adapt.Retrainer.drift r in
-          let attrs = Pnrule.Saved.attrs st.model in
-          let classes = Pnrule.Saved.classes st.model in
-          let labeled_total = ref 0 in
-          let observe ~n ~columns ~batch ~actuals =
-            Pn_adapt.Drift.observe dr ~slot:index ~n ~batch ~actuals;
-            let sel = ref [] in
-            let cnt = ref 0 in
-            for i = n - 1 downto 0 do
-              if actuals.(i) >= 0 then begin
-                sel := i :: !sel;
-                incr cnt
-              end
-            done;
-            if !cnt > 0 then begin
-              labeled_total := !labeled_total + !cnt;
-              let sel = Array.of_list !sel in
-              (* Copy, never alias: [columns] may be decoder-owned
-                 buffers that the next chunk overwrites. *)
-              let sub =
-                Array.map
-                  (function
-                    | Pn_data.Dataset.Num col ->
-                      Pn_data.Dataset.Num (Array.map (Array.get col) sel)
-                    | Pn_data.Dataset.Cat col ->
-                      Pn_data.Dataset.Cat (Array.map (Array.get col) sel))
-                  columns
-              in
-              let labels = Array.map (Array.get actuals) sel in
-              Pn_adapt.Retrainer.add r
-                (Pn_data.Dataset.create ~attrs ~columns:sub ~labels ~classes ())
-            end
-          in
-          match
-            if columnar then
-              Pnrule.Serve.predict_columnar_stream ~policy ~scores:false
-                ~max_rows:t.max_rows ~pool:Pn_util.Pool.sequential ~observe
-                ~model:st.model ~source ~write:ignore ()
-            else
-              Pnrule.Serve.predict_stream ~policy ~chunk_size:t.chunk_size
-                ?class_column:(q "class-column") ~scores:false
-                ~max_rows:t.max_rows ~pool:Pn_util.Pool.sequential ~observe
-                ~model:st.model ~source ~write:ignore ()
-          with
-          | report ->
-            if !labeled_total = 0 then begin
-              Http.respond conn ~status:400
-                ~body:
-                  "no labeled rows in the feedback body; provide a class \
-                   column (CSV) or a labeled .pnc file\n"
-                ();
-              (400, `Close)
-            end
-            else begin
-              Http.respond conn ~status:200 ~keep_alive:keep
-                ~content_type:"application/json; charset=utf-8"
-                ~body:
-                  (Printf.sprintf
-                     "{\"status\": \"ok\", \"rows\": %d, \"labeled\": %d, \
-                      \"reservoir_rows\": %d}\n"
-                     report.Pnrule.Serve.rows_out !labeled_total
-                     (Pn_adapt.Retrainer.reservoir_rows r))
-                ();
-              (200, `Keep)
-            end
-          | exception Deadline ->
-            Http.respond conn ~status:408
-              ~body:
-                (Printf.sprintf "request exceeded the %gs deadline\n" t.deadline)
-              ();
-            (408, `Close)
-          | exception Pnrule.Serve.Error msg ->
-            Http.respond conn ~status:400 ~body:(msg ^ "\n") ();
-            (400, `Close)
-          | exception Pnrule.Serve.Limit msg ->
-            Http.respond conn ~status:413 ~body:(msg ^ "\n") ();
-            (413, `Close))))
+          (400, `Close)
+        end
+        else begin
+          Http.respond conn ~status:200 ~keep_alive:keep
+            ~content_type:"application/json; charset=utf-8"
+            ~body:
+              (Printf.sprintf
+                 "{\"status\": \"ok\", \"rows\": %d, \"labeled\": %d, \
+                  \"reservoir_rows\": %d}\n"
+                 report.Pnrule.Serve.rows_out !labeled_total
+                 (Pn_adapt.Retrainer.reservoir_rows r))
+            ();
+          (200, `Keep)
+        end)
 
 (* GET /admin/drift: one JSON snapshot of the whole adaptation loop —
    monitor state per rule plus the retrainer's outcome counters. *)
@@ -813,7 +669,7 @@ let admin t conn (req : Http.request) ~back ~keep =
         ();
       (409, `Close)
     | Error `Busy ->
-      note_shed t `Warming;
+      ignore (Atomic.fetch_and_add t.shed_warming 1);
       Http.respond conn ~status:503
         ~headers:[ ("retry-after", "1") ]
         ~body:"another rollout is in progress; retry shortly\n" ();
@@ -831,29 +687,24 @@ let admin t conn (req : Http.request) ~back ~keep =
 
 let dispatch t conn (req : Http.request) ~index ~keep =
   match (req.Http.meth, req.Http.path) with
-  | "POST", "/predict" ->
-    if Atomic.get t.draining then begin
+  | "POST", (("/predict" | "/feedback") as path) ->
+    let ep, run =
+      if path = "/predict" then (Telemetry.Predict, predict)
+      else (Telemetry.Feedback, feedback)
+    in
+    if Listener.draining t.listener then begin
       (* New work is refused during the drain with an explicit retry
          hint; requests already admitted keep running to completion. *)
-      note_shed t `Draining;
+      ignore (Atomic.fetch_and_add t.shed_draining 1);
       Http.respond conn ~status:503
         ~headers:[ ("retry-after", "1") ]
         ~body:"draining; retry against another instance\n" ();
-      (Telemetry.Predict, (503, `Close))
+      (ep, (503, `Close))
     end
-    else (Telemetry.Predict, predict t conn req ~index ~keep)
+    else (ep, run t conn req ~index ~keep)
   | _, "/predict" ->
     Http.respond conn ~status:405 ~body:"use POST\n" ();
     (Telemetry.Predict, (405, `Close))
-  | "POST", "/feedback" ->
-    if Atomic.get t.draining then begin
-      note_shed t `Draining;
-      Http.respond conn ~status:503
-        ~headers:[ ("retry-after", "1") ]
-        ~body:"draining; retry against another instance\n" ();
-      (Telemetry.Feedback, (503, `Close))
-    end
-    else (Telemetry.Feedback, feedback t conn req ~index ~keep)
   | _, "/feedback" ->
     Http.respond conn ~status:405 ~body:"use POST\n" ();
     (Telemetry.Feedback, (405, `Close))
@@ -878,7 +729,7 @@ let dispatch t conn (req : Http.request) ~index ~keep =
     Http.respond conn ~status:405 ~body:"use GET\n" ();
     (Telemetry.Admin, (405, `Close))
   | "GET", "/healthz" ->
-    if Atomic.get t.draining then begin
+    if Listener.draining t.listener then begin
       Http.respond conn ~status:503
         ~headers:[ ("retry-after", "1") ]
         ~body:"draining\n" ();
@@ -904,65 +755,33 @@ let dispatch t conn (req : Http.request) ~index ~keep =
     Http.respond conn ~status:404 ~body:(Printf.sprintf "no route %s\n" path) ();
     (Telemetry.Other, (404, `Close))
 
-let handle t ~slot ~index conn =
-  match Http.read_request conn with
-  | exception Http.Disconnect -> `Close
-  | exception Http.Timeout -> `Close
-  | exception Http.Bad_request msg -> (
-    match
-      Http.respond conn ~status:400 ~body:(msg ^ "\n") ();
-      Telemetry.observe slot Telemetry.Other ~status:400 ~seconds:0.0
-    with
-    | () -> `Close
-    | exception _ -> `Close)
-  | req ->
-    let t0 = Unix.gettimeofday () in
-    Telemetry.in_flight_incr t.telemetry;
-    (* The decrement must survive any exit path: admission control
-       compares in_flight against the queue limit, so a decrement lost
-       to a raising handler would not just skew a gauge — every leak
-       would permanently shrink the daemon's capacity until it sheds
-       all traffic. *)
-    Fun.protect
-      ~finally:(fun () -> Telemetry.in_flight_decr t.telemetry)
-      (fun () ->
-        (* A keep-alive response is only offered when the client asked
-           for it, the server is not draining, and the request carried
-           no body we might leave half-read on the socket. *)
-        let keep =
-          req.Http.keep_alive
-          && (not (Atomic.get t.draining))
-          && (req.Http.meth = "POST" || req.Http.content_length = None)
-          && not req.Http.chunked_body
-        in
-        let result =
-          match dispatch t conn req ~index ~keep with
-          | r -> r
-          | exception (Http.Disconnect | Http.Timeout) ->
-            (* nginx's 499: the client went away mid-request *)
-            (Telemetry.Other, (499, `Close))
-          | exception e ->
-            (* A handler bug must not take the worker domain down. *)
-            Log.err (fun m ->
-                m "request %s %s crashed: %s" req.Http.meth req.Http.path
-                  (Printexc.to_string e));
-            let status = 500 in
-            (match Http.respond conn ~status ~body:"internal error\n" () with
-            | () -> ()
-            | exception _ -> ());
-            (Telemetry.Other, (status, `Close))
-        in
-        let endpoint, (status, outcome) = result in
-        let seconds = Unix.gettimeofday () -. t0 in
-        Telemetry.observe slot endpoint ~status ~seconds;
-        Telemetry.add_retries slot (Http.take_io_retries conn);
-        match outcome with
-        | `Rows (report : Pnrule.Serve.report) ->
-          Telemetry.add_rows slot
-            ~rows_in:report.Pnrule.Serve.ingest.Pn_data.Ingest_report.rows_read
-            ~rows_out:report.Pnrule.Serve.rows_out;
-          Telemetry.add_retries slot
-            report.Pnrule.Serve.ingest.Pn_data.Ingest_report.io_retries;
-          if keep then `Keep else `Close
-        | `Keep -> if keep then `Keep else `Close
-        | `Close -> `Close)
+let handle t ~index ~keep conn (req : Http.request) =
+  let slot = Telemetry.slot t.telemetry index in
+  let t0 = Unix.gettimeofday () in
+  let endpoint, (status, outcome) =
+    match dispatch t conn req ~index ~keep with
+    | r -> r
+    | exception (Http.Disconnect | Http.Timeout) ->
+      (* nginx's 499: the client went away mid-request *)
+      (Telemetry.Other, (499, `Close))
+    | exception e ->
+      (* A handler bug must not take the worker domain down. *)
+      Log.err (fun m ->
+          m "request %s %s crashed: %s" req.meth req.path (Printexc.to_string e));
+      (try Http.respond conn ~status:500 ~body:"internal error\n" () with _ -> ());
+      (Telemetry.Other, (500, `Close))
+  in
+  Telemetry.observe slot endpoint ~status ~seconds:(Unix.gettimeofday () -. t0);
+  Telemetry.add_retries slot (Http.take_io_retries conn);
+  match outcome with
+  | `Rows (report : Pnrule.Serve.report) ->
+    let ingest = report.Pnrule.Serve.ingest in
+    Telemetry.add_rows slot ~rows_in:ingest.Pn_data.Ingest_report.rows_read
+      ~rows_out:report.Pnrule.Serve.rows_out;
+    Telemetry.add_retries slot ingest.Pn_data.Ingest_report.io_retries;
+    `Keep
+  | (`Keep | `Close) as o -> o
+
+let bad_request t ~index =
+  Telemetry.observe (Telemetry.slot t.telemetry index) Telemetry.Other ~status:400
+    ~seconds:0.0

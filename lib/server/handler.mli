@@ -28,51 +28,27 @@ type source =
 
 type t
 
-(** [create ~source ~telemetry ...] loads the initial model from
+(** [create ~source ~listener ...] loads the initial model from
     [source] (exceptions propagate) and fixes the serving parameters.
     [deadline] is the per-request wall-clock budget in seconds (0
     disables it); a request that overruns it — checked on every body
     refill and every response write — is answered 408 (or aborted if
-    the response already started). [draining] is shared with the accept
-    loop: when true, responses stop offering keep-alive, [/healthz]
-    turns 503 and new predict requests are shed. [queued] is the shared
-    count of accepted-but-unserved connections and [queue_limit] the
-    admission bound, both surfaced on [/metrics]. *)
+    the response already started). [listener] is the {!Listener} this
+    handler will be plugged into: once it drains, [/healthz] turns 503
+    and new predict/feedback requests are shed, and its admission,
+    connection and worker counters are exported on [/metrics]. *)
 val create :
   source:source ->
-  telemetry:Telemetry.t ->
+  listener:Listener.t ->
   policy:Pn_data.Ingest_report.policy ->
   chunk_size:int ->
   max_body:int ->
   max_rows:int ->
   deadline:float ->
-  draining:bool Atomic.t ->
-  queued:int Atomic.t ->
-  queue_limit:int ->
   t
-
-val telemetry : t -> Telemetry.t
 
 (** Current model snapshot. *)
 val state : t -> state
-
-(** Bumped by the accept loop; surfaced on [/metrics]. *)
-val connections : t -> int Atomic.t
-
-(** Bumped by the listener when it respawns a dead worker domain;
-    surfaced on [/metrics] as [pnrule_worker_restarts_total]. *)
-val worker_restarts : t -> int Atomic.t
-
-(** [note_shed t reason] counts one load-shedding refusal, surfaced as
-    [pnrule_shed_total{reason=...}]. [`Overload] is bumped by the
-    listener's admission control, [`Draining] and [`Warming] by the
-    handler itself. *)
-val note_shed : t -> [ `Overload | `Draining | `Warming ] -> unit
-
-(** [admission_load t] is in-flight requests plus
-    accepted-but-unserved connections — what the listener compares
-    against the queue limit before admitting a connection. *)
-val admission_load : t -> int
 
 (** [reload t] re-resolves the source and atomically swaps the model
     in: a [Loader] is re-run (generation +1), a [Registry] re-resolves
@@ -110,12 +86,15 @@ val set_adapt : t -> Pn_adapt.Retrainer.t -> unit
 
 val adapt : t -> Pn_adapt.Retrainer.t option
 
-(** [handle t ~slot ~index conn] reads one request off [conn],
-    dispatches it, writes the response, and records telemetry into
-    [slot] ([index] is the worker's slot index, used to address the
-    drift monitor's per-domain counters). Returns whether the
-    connection may serve another request. Never raises: protocol errors
-    become 4xx responses, handler bugs become 500s, and a vanished peer
-    becomes [`Close]. *)
+(** [handle t ~index ~keep conn req] dispatches one parsed request,
+    writes the response, and records telemetry into worker [index]'s
+    slot (also the drift monitor's per-domain slot) — a
+    {!Listener.handler}. Never raises on protocol errors or handler
+    bugs: those become 4xx/5xx responses, and a vanished peer becomes
+    [`Close]. *)
 val handle :
-  t -> slot:Telemetry.slot -> index:int -> Http.conn -> [ `Keep | `Close ]
+  t -> index:int -> keep:bool -> Http.conn -> Http.request -> [ `Keep | `Close ]
+
+(** [bad_request t ~index] counts a [400] the listener answered for an
+    unparsable request head. *)
+val bad_request : t -> index:int -> unit

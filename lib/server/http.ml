@@ -8,6 +8,7 @@ type conn = {
   mutable rpos : int;
   mutable rlen : int;
   mutable wretries : int;
+  mutable body_left : int;  (* unread bytes of the current request body; -1 = unframed *)
   write_fault : string;
   read_fault : string option;
 }
@@ -21,6 +22,7 @@ let make_conn ?(buf_size = 65536) ?(write_fault = "serve.chunk_write")
     rpos = 0;
     rlen = 0;
     wretries = 0;
+    body_left = 0;
     write_fault;
     read_fault;
   }
@@ -325,6 +327,8 @@ let read_request ?(max_header = 8192) c =
     let conn = Option.map String.lowercase_ascii (find "connection") in
     if version = "HTTP/1.0" then conn = Some "keep-alive" else conn <> Some "close"
   in
+  c.body_left <-
+    (if chunked_body then -1 else Option.value content_length ~default:0);
   {
     meth;
     path;
@@ -338,36 +342,36 @@ let read_request ?(max_header = 8192) c =
 
 let body_buf_size length = max 1 (min 65536 length)
 
-let body_reader c ~length =
-  let remaining = ref length in
-  fun buf ->
-    if !remaining <= 0 then 0
-    else begin
-      let want = min (Bytes.length buf) !remaining in
-      let n =
-        if c.rpos < c.rlen then begin
-          let n = min want (c.rlen - c.rpos) in
-          Bytes.blit c.rbuf c.rpos buf 0 n;
-          c.rpos <- c.rpos + n;
-          n
-        end
-        else begin
-          let rec rd () =
-            match Unix.read c.fd buf 0 want with
-            | 0 -> raise Disconnect (* body shorter than Content-Length *)
-            | n -> n
-            | exception Unix.Unix_error (Unix.EINTR, _, _) -> rd ()
-            | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-              raise Timeout
-            | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) ->
-              raise Disconnect
-          in
-          rd ()
-        end
-      in
-      remaining := !remaining - n;
-      n
-    end
+let body_consumed c = c.body_left = 0
+
+let body_reader c buf =
+  if c.body_left <= 0 then 0
+  else begin
+    let want = min (Bytes.length buf) c.body_left in
+    let n =
+      if c.rpos < c.rlen then begin
+        let n = min want (c.rlen - c.rpos) in
+        Bytes.blit c.rbuf c.rpos buf 0 n;
+        c.rpos <- c.rpos + n;
+        n
+      end
+      else begin
+        let rec rd () =
+          match Unix.read c.fd buf 0 want with
+          | 0 -> raise Disconnect (* body shorter than Content-Length *)
+          | n -> n
+          | exception Unix.Unix_error (Unix.EINTR, _, _) -> rd ()
+          | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+            raise Timeout
+          | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) ->
+            raise Disconnect
+        in
+        rd ()
+      end
+    in
+    c.body_left <- c.body_left - n;
+    n
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Responses                                                            *)
@@ -398,10 +402,14 @@ let add_head buf ~status ~content_type ~keep_alive extra =
   extra buf;
   Buffer.add_string buf "\r\n"
 
+(* Never advertise keep-alive while request body bytes sit unread on the
+   socket: the connection is about to close, since those bytes would be
+   parsed as the next request head. *)
 let respond c ?(content_type = "text/plain; charset=utf-8") ?(keep_alive = false)
     ?(headers = []) ~status ~body () =
   let buf = Buffer.create (String.length body + 256) in
-  add_head buf ~status ~content_type ~keep_alive (fun buf ->
+  add_head buf ~status ~content_type ~keep_alive:(keep_alive && body_consumed c)
+    (fun buf ->
       Printf.bprintf buf "content-length: %d\r\n" (String.length body);
       List.iter (fun (k, v) -> Printf.bprintf buf "%s: %s\r\n" k v) headers);
   Buffer.add_string buf body;
@@ -424,7 +432,25 @@ let deny fd ~status ~retry_after ~body =
   | _ -> ()
   | exception Unix.Unix_error _ -> ()
 
-let continue_100 c = write_all c "HTTP/1.1 100 Continue\r\n\r\n"
+let admit_body c req ~max_body =
+  let refuse status body =
+    respond c ~status ~body ();
+    Error status
+  in
+  if req.chunked_body then
+    refuse 411 "chunked request bodies are not supported; send Content-Length\n"
+  else
+    match req.content_length with
+    | None -> refuse 411 "Content-Length required\n"
+    | Some len when len > max_body ->
+      refuse 413
+        (Printf.sprintf "body of %d bytes exceeds the %d byte limit\n" len max_body)
+    | Some len ->
+      (match header req "expect" with
+      | Some v when String.lowercase_ascii v = "100-continue" ->
+        write_all c "HTTP/1.1 100 Continue\r\n\r\n"
+      | Some _ | None -> ());
+      Ok len
 
 type stream_response = {
   sc : conn;

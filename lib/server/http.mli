@@ -65,11 +65,18 @@ val header : request -> string -> string option
     {!Timeout}. [max_header] bounds the head size (default 8 KiB). *)
 val read_request : ?max_header:int -> conn -> request
 
-(** [body_reader conn ~length] is a refill function that yields exactly
-    [length] body bytes then 0, suitable for
+(** [body_reader conn] is a refill function that yields the rest of
+    the current request's [Content-Length] body, then 0, suitable for
     {!Pn_data.Stream.of_refill}. Raises {!Disconnect} if the peer closes
     early, {!Timeout} on a stalled read. *)
-val body_reader : conn -> length:int -> bytes -> int
+val body_reader : conn -> bytes -> int
+
+(** [body_consumed conn] holds when no byte of the current request's
+    body is left unread on the socket: the request carried no body, or
+    its handler read all of it. A chunked body never counts as consumed
+    (it is never read). This is the condition under which the
+    connection may serve another request. *)
+val body_consumed : conn -> bool
 
 (** [body_buf_size length] is the buffer to read a [length]-byte body
     through: the body's own size, capped at 64 KiB, so a small request
@@ -85,7 +92,8 @@ val wait_readable :
 
 (** [respond conn ~status ~body ()] writes a complete response with
     [Content-Length]. [content_type] defaults to [text/plain].
-    [keep_alive] (default false) selects the [Connection] header.
+    [keep_alive] (default false) selects the [Connection] header; it is
+    downgraded to [close] while {!body_consumed} is false.
     [headers] appends extra response headers (lowercase names),
     e.g. [("retry-after", "1")] on a 503. *)
 val respond :
@@ -105,8 +113,12 @@ val respond :
     peer; the caller closes [fd]. *)
 val deny : Unix.file_descr -> status:int -> retry_after:int -> body:string -> unit
 
-(** [continue_100 conn] writes the interim [100 Continue] response. *)
-val continue_100 : conn -> unit
+(** [admit_body conn req ~max_body] is the body-admission check every
+    body-carrying endpoint shares: a chunked body or a missing
+    [Content-Length] is answered 411, one over [max_body] bytes 413
+    ([Error status], the refusal already written). Otherwise it answers
+    [Expect: 100-continue] and returns [Ok length]. *)
+val admit_body : conn -> request -> max_body:int -> (int, int) result
 
 (** Deferred streaming response: nothing reaches the socket until the
     buffered output crosses a threshold, so a handler that fails early

@@ -1,5 +1,7 @@
-(** The resident prediction daemon: a TCP listener domain feeding a
-    fixed pool of worker domains over a blocking queue.
+(** The resident prediction daemon: the {!Handler} endpoints plugged
+    into one {!Listener} (an accepting domain feeding a fixed pool of
+    worker domains over a blocking queue; the shard router runs the
+    same one).
 
     Lifecycle:
     - {!start} loads the model, binds the socket, spawns the domains and
@@ -8,26 +10,22 @@
       flight finish on the model they started with;
     - SIGTERM/SIGINT (or {!stop}) drains gracefully: the listener stops
       accepting, already-accepted connections are served to completion,
-      idle keep-alive connections are closed, workers are joined.
+      idle keep-alive connections are closed, workers are joined, and
+      then the retrainer (if any) is stopped.
 
-    Signals only flip atomics; the listener loop notices them within
-    ~50 ms and does the actual work, so handlers stay trivial. SIGPIPE
-    is ignored for the whole process while a server runs — a vanished
-    client surfaces as an [EPIPE] that the HTTP layer turns into a
-    closed connection, never a killed process.
+    Signals only flip atomics; the accept loop notices them within
+    ~50 ms and does the actual work (a SIGHUP reload runs there), so
+    handlers stay trivial. SIGPIPE is ignored for the whole process
+    while a server runs — a vanished client surfaces as an [EPIPE] that
+    the HTTP layer turns into a closed connection, never a killed
+    process.
 
-    The listener is also the admission controller: every accepted
-    connection is checked against [queue_limit] (in-flight plus queued
-    work) and refused with a canned [429] + [Retry-After] when the
-    daemon is saturated — accepted work is never dropped, new work is
-    shed at accept speed. Refusals are counted per reason as
-    [pnrule_shed_total].
-
-    The listener also supervises the worker pool: a worker domain that
-    dies on an escaped exception flags itself, and the listener joins
-    the corpse and respawns a fresh domain into the same slot (same
-    telemetry index) within ~50 ms. Restarts are counted and exported as
-    [pnrule_worker_restarts_total]. *)
+    Admission ([429] + [Retry-After] past [queue_limit], counted as
+    [pnrule_shed_total{reason="overload"}]), worker supervision
+    (respawn into the same slot, [pnrule_worker_restarts_total]) and the
+    keep-alive rule are the {!Listener}'s. The daemon's per-request
+    callback passes the [server.worker] fault point first, so an
+    injected fault there kills the worker domain that drew it. *)
 
 type config = {
   host : string;  (** bind address, default ["127.0.0.1"] *)
@@ -83,15 +81,16 @@ val generation : t -> int
 (** Synchronous reload — what SIGHUP triggers asynchronously. *)
 val reload : t -> (unit, string) result
 
-(** Flip the reload flag from a signal handler; the listener performs
-    the reload within ~50 ms. *)
+(** Flip the reload flag from a signal handler; the accept loop
+    performs the reload within ~50 ms. *)
 val request_reload : t -> unit
 
-(** Flip the stop flag; the listener begins the graceful drain within
-    ~50 ms. Signal-safe. *)
+(** Flip the stop flag; the accept loop begins the graceful drain
+    within ~50 ms. Signal-safe. *)
 val request_stop : t -> unit
 
-(** Block until the drain completes and all domains are joined. *)
+(** Block until the drain completes and all domains (workers, accept
+    loop, retrainer) are joined. *)
 val join : t -> unit
 
 (** [request_stop] + [join]. Idempotent. *)

@@ -48,10 +48,7 @@ type slot = {
   io_retries : int Atomic.t;
 }
 
-type t = {
-  slots : slot array;
-  in_flight : int Atomic.t;
-}
+type t = { slots : slot array }
 
 let make_slot () =
   {
@@ -67,7 +64,7 @@ let make_slot () =
 
 let create ~slots =
   if slots < 1 then invalid_arg "Telemetry.create: slots";
-  { slots = Array.init slots (fun _ -> make_slot ()); in_flight = Atomic.make 0 }
+  { slots = Array.init slots (fun _ -> make_slot ()) }
 
 let slot t i = t.slots.(i)
 
@@ -93,12 +90,6 @@ let add_rows s ~rows_in ~rows_out =
 
 let add_retries s n = if n > 0 then add s.io_retries n
 
-let in_flight_incr t = ignore (Atomic.fetch_and_add t.in_flight 1)
-
-let in_flight_decr t = ignore (Atomic.fetch_and_add t.in_flight (-1))
-
-let in_flight_count t = Atomic.get t.in_flight
-
 (* ------------------------------------------------------------------ *)
 (* Scrape-time merge + exposition text                                  *)
 (* ------------------------------------------------------------------ *)
@@ -111,7 +102,7 @@ let sum_float t f =
 let header buf name help kind =
   Printf.bprintf buf "# HELP %s %s\n# TYPE %s %s\n" name help name kind
 
-let render t ~extra =
+let render t ~in_flight ~extra =
   let buf = Buffer.create 4096 in
   header buf "pnrule_requests_total" "Requests handled, by endpoint." "counter";
   Array.iter
@@ -141,7 +132,7 @@ let render t ~extra =
   Printf.bprintf buf "pnrule_io_retries_total %d\n"
     (sum_int t (fun s -> s.io_retries));
   header buf "pnrule_in_flight" "Requests currently being processed." "gauge";
-  Printf.bprintf buf "pnrule_in_flight %d\n" (Atomic.get t.in_flight);
+  Printf.bprintf buf "pnrule_in_flight %d\n" in_flight;
   header buf "pnrule_request_seconds" "Request latency, by endpoint." "histogram";
   Array.iter
     (fun ep ->

@@ -47,18 +47,9 @@ val add_rows : slot -> rows_in:int -> rows_out:int -> unit
     [pnrule_io_retries_total]. *)
 val add_retries : slot -> int -> unit
 
-(** The in-flight request gauge (shared; incremented when a request has
-    been parsed, decremented when its response is done). *)
-val in_flight_incr : t -> unit
-
-val in_flight_decr : t -> unit
-
-(** Current value of the in-flight gauge. Read by the listener's
-    admission control on every accept, so it must stay an O(1) atomic
-    load. *)
-val in_flight_count : t -> int
-
-(** [render t ~extra] merges all slots and renders the exposition text.
-    [extra] may append additional, caller-owned metric lines (the server
-    adds model generation / reload counters). *)
-val render : t -> extra:(Buffer.t -> unit) -> string
+(** [render t ~in_flight ~extra] merges all slots and renders the
+    exposition text; [in_flight] is the listener's in-flight request
+    count, exported as [pnrule_in_flight]. [extra] may append additional,
+    caller-owned metric lines (the server adds model generation / reload
+    counters). *)
+val render : t -> in_flight:int -> extra:(Buffer.t -> unit) -> string

@@ -17,11 +17,18 @@
       the stuck shard (survivors keep their old generation).
     - [GET /admin/backends]: per-shard state dump (JSON).
 
+    Client connections are accepted, admitted (429 past [queue_limit]),
+    kept alive and drained by the same {!Pn_server.Listener} the daemon
+    uses; the router plugs in its proxying handler.
+
     Supervision: health probes every [probe_interval] drive the
     per-shard state machine (see {!Backend}); exited shards are reaped
     (SIGCHLD interrupts the supervisor tick) and respawned with
-    jittered exponential backoff and flap damping. SIGTERM drains the
-    router's own workers first, then rolls SIGTERM across the fleet.
+    jittered exponential backoff and flap damping. A starting shard gets
+    30 s to go healthy; proxy legs are bounded at 30 s per IO, probes
+    and scrapes at 2 s. SIGTERM drains the router's own listener first,
+    then rolls SIGTERM across the fleet (5 s grace per shard, then
+    SIGKILL).
 
     Fault points: [router.proxy_read], [router.proxy_write] (proxy
     legs), [router.spawn] (process creation; injected EINTR/EAGAIN are
@@ -37,26 +44,19 @@ type config = {
           executable path *)
   backend_env : index:int -> string array option;
       (** [None] inherits the router's environment *)
-  max_body : int;
-  idle_timeout : float;
-  proxy_timeout : float;
-  probe_interval : float;
-  probe_timeout : float;
-  fail_threshold : int;
-  start_budget : float;
-  flap_window : float;
-  respawn_cap : int;
-  drain_budget : float;
-  backlog : int;
-  queue_limit : int;
+  max_body : int;  (** request body byte limit (413 beyond) *)
+  idle_timeout : float;  (** client keep-alive idle bound, seconds *)
+  probe_interval : float;  (** supervisor tick, seconds *)
+  fail_threshold : int;  (** consecutive bad probes before escalating *)
+  queue_limit : int;  (** admission bound: queued + in-flight *)
 }
 
 val default_config : config
 
 type t
 
-(** [start ~config ()] binds, spawns worker + supervisor + listener
-    domains, and returns immediately; the supervisor brings the shard
+(** [start ~config ()] binds, starts the listener and the supervisor
+    domain, and returns immediately; the supervisor brings the shard
     fleet up asynchronously (poll {!healthy_count}). Raises
     [Invalid_argument] on out-of-range config. *)
 val start : ?config:config -> unit -> t
@@ -74,8 +74,8 @@ val backend_state : t -> int -> Backend.state
 
 val request_stop : t -> unit
 
-(** Block until the router has drained: workers finish in-flight
-    requests, then the shard fleet is rolled down. *)
+(** Block until the router has drained: the listener finishes queued
+    and in-flight requests, then the shard fleet is rolled down. *)
 val join : t -> unit
 
 (** {!request_stop} then {!join}. *)

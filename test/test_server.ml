@@ -515,6 +515,63 @@ let test_admission_sheds_overload () =
             (metric_value m "pnrule_queue_limit")))
 
 (* ------------------------------------------------------------------ *)
+(* Keep-alive after a body the handler never read                       *)
+(* ------------------------------------------------------------------ *)
+
+(* Send [raw] (a request carrying a body its endpoint never reads) and a
+   pipelined GET /healthz on one connection. The first response must say
+   [connection: close] and be followed by EOF: a second response means
+   the unread body bytes were parsed as the next request head. *)
+let check_closes_after_unread_body port ~label raw =
+  let c = Client.connect port in
+  Fun.protect
+    ~finally:(fun () -> Client.close c)
+    (fun () ->
+      Unix.setsockopt_float c.Client.fd Unix.SO_RCVTIMEO 5.0;
+      Client.send c (raw ^ "GET /healthz HTTP/1.1\r\nhost: t\r\n\r\n");
+      let _, hs, _ = Client.read_response c in
+      Alcotest.(check (option string))
+        (label ^ ": first response closes") (Some "close")
+        (List.assoc_opt "connection" hs);
+      let rest =
+        if c.Client.pos < c.Client.len then
+          Bytes.sub_string c.Client.buf c.Client.pos (c.Client.len - c.Client.pos)
+        else
+          (* A close with unread input may surface as a reset, not EOF. *)
+          match Unix.read c.Client.fd c.Client.buf 0 (Bytes.length c.Client.buf) with
+          | n -> Bytes.sub_string c.Client.buf 0 n
+          | exception Unix.Unix_error (Unix.ECONNRESET, _, _) -> ""
+      in
+      Alcotest.(check string) (label ^ ": EOF, no second response") "" rest)
+
+let test_keepalive_after_unread_body () =
+  let model, _, _, _ = Lazy.force fixture in
+  let dir = Filename.temp_file "pnrule_srv_reg" "" in
+  Sys.remove dir;
+  Unix.mkdir dir 0o700;
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter (fun n -> Sys.remove (Filename.concat dir n)) (Sys.readdir dir);
+      Unix.rmdir dir)
+    (fun () ->
+      let reg = Pnrule.Registry.open_dir dir in
+      ignore (Pnrule.Registry.publish reg model);
+      ignore (Pnrule.Registry.publish reg model);
+      Pnrule.Registry.set_current reg 1;
+      let config = { Server.default_config with chunk_size = 256 } in
+      let srv =
+        Server.start ~config ~source:(Pn_server.Handler.Registry reg) ()
+      in
+      Fun.protect
+        ~finally:(fun () -> Server.stop srv)
+        (fun () ->
+          (* A successful rollout answers 200 without reading its body. *)
+          check_closes_after_unread_body (Server.port srv) ~label:"rollout"
+            "POST /admin/rollout HTTP/1.1\r\nhost: t\r\ncontent-length: 4\r\n\r\njunk";
+          Alcotest.(check int) "the rollout itself happened" 2
+            (Server.generation srv)))
+
+(* ------------------------------------------------------------------ *)
 (* Config validation                                                    *)
 (* ------------------------------------------------------------------ *)
 
@@ -878,6 +935,8 @@ let suite =
       test_bad_percent_encoding;
     Alcotest.test_case "saturation sheds 429 without dropping work" `Quick
       test_admission_sheds_overload;
+    Alcotest.test_case "keep-alive refused after an unread body" `Quick
+      test_keepalive_after_unread_body;
     Alcotest.test_case "backlog and queue-limit validation" `Quick
       test_config_validation;
     Alcotest.test_case "hot reload and generations" `Quick

@@ -109,7 +109,6 @@ let router_config ?(backends = 2) ?(backend_env = fun ~index:_ -> None)
     backend_argv = backend_argv registry;
     backend_env;
     probe_interval = 0.02;
-    start_budget = 25.0;
   }
 
 (* Boot a router over a fresh fixture registry, run [body], and always
@@ -448,6 +447,76 @@ let test_rollout_warm_failure () =
          healthy and still serving its old generation. *)
       Alcotest.(check int) "fleet still 3/3 healthy" 3 (Router.healthy_count t))
 
+(* ------------------------------------------------------------------ *)
+(* Keep-alive after an unread body; admission sheds 429                 *)
+(* ------------------------------------------------------------------ *)
+
+let test_keepalive_after_unread_body () =
+  with_router ~backends:1 (fun t _reg ->
+      let port = Router.port t in
+      Test_server.check_closes_after_unread_body port ~label:"healthz with a body"
+        "GET /healthz HTTP/1.1\r\nhost: t\r\ncontent-length: 4\r\n\r\njunk";
+      Test_server.check_closes_after_unread_body port
+        ~label:"healthz with a chunked body"
+        "GET /healthz HTTP/1.1\r\nhost: t\r\ntransfer-encoding: chunked\r\n\r\n\
+         4\r\njunk\r\n0\r\n\r\n")
+
+(* The daemon's admission test, pointed at the router: one admitted
+   half-sent request holds the only slot, further connections are shed
+   at accept speed, and the held request still completes. *)
+let test_router_admission_sheds_overload () =
+  let _, body, expected, _ = Lazy.force Test_server.fixture in
+  let dir, _reg = make_registry () in
+  let t =
+    Router.start ~config:{ (router_config ~backends:1 dir) with queue_limit = 1 } ()
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Router.stop t;
+      rm_rf dir)
+    (fun () ->
+      wait_until "fleet healthy" (fun () -> Router.healthy_count t = 1);
+      let port = Router.port t in
+      let a = Client.connect port in
+      Fun.protect
+        ~finally:(fun () -> Client.close a)
+        (fun () ->
+          let cut = String.length body / 2 in
+          Client.send a
+            (Printf.sprintf
+               "POST /predict HTTP/1.1\r\nhost: t\r\ncontent-length: %d\r\n\r\n%s"
+               (String.length body) (String.sub body 0 cut));
+          Unix.sleepf 0.3;
+          List.iter
+            (fun name ->
+              let c = Client.connect port in
+              Fun.protect
+                ~finally:(fun () -> Client.close c)
+                (fun () ->
+                  let s, hs, b = Client.read_response c in
+                  Alcotest.(check int) (name ^ " refused") 429 s;
+                  Alcotest.(check (option string))
+                    (name ^ " carries retry-after") (Some "1")
+                    (List.assoc_opt "retry-after" hs);
+                  Alcotest.(check bool)
+                    (name ^ " explains itself") true
+                    (contains b "capacity")))
+            [ "first overflow"; "second overflow" ];
+          Client.send a (String.sub body cut (String.length body - cut));
+          let s, _, got = Client.read_response a in
+          Alcotest.(check int) "admitted request completes" 200 s;
+          Alcotest.(check string) "admitted request byte-identical" expected got;
+          let s, _, direct =
+            Test_server.one_shot (Router.backend_port t 0) ~meth:"POST"
+              ~path:"/predict" ~body ()
+          in
+          Alcotest.(check int) "direct daemon answers" 200 s;
+          Alcotest.(check string) "identical to a direct daemon" direct got);
+      Unix.sleepf 0.2;
+      Alcotest.(check (float 0.0))
+        "sheds counted by reason" 2.0
+        (metric (scrape t) "pnrule_router_shed_total{reason=\"overload\"}"))
+
 let suite =
   [
     Alcotest.test_case "sharded e2e: bytes, merged metrics, rolling rollout"
@@ -460,4 +529,8 @@ let suite =
       test_all_backends_down;
     Alcotest.test_case "rolling rollout aborts on warm failure" `Quick
       test_rollout_warm_failure;
+    Alcotest.test_case "keep-alive refused after an unread body" `Quick
+      test_keepalive_after_unread_body;
+    Alcotest.test_case "router admission sheds 429 without dropping work"
+      `Quick test_router_admission_sheds_overload;
   ]
